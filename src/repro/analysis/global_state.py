@@ -1,32 +1,41 @@
 """Global-state capture: turning checkpoint lines into checkable views.
 
 A *line* is one checkpoint per in-service process — the state the system
-would restart from.  :class:`ProcessView` decodes a checkpoint (through
-the codec registry of :mod:`repro.snapshot`, replaying any delta
-chains) into the underlying :class:`~repro.host.ProcessSnapshot` plus
-the metadata the invariant checkers need (epoch, dirty bit at snapshot
-time, ground-truth corruption, the per-section byte breakdown).  Lines
-can be built from stable storage (the hardware recovery line), from
-volatile storage (the MDCD recovery anchors), or from the live process
-states (for end-of-run oracles).
+would restart from.  :class:`ProcessView` wraps a checkpoint's payload
+in a read-only, lazily decoded :class:`~repro.snapshot.SnapshotView`
+(decoding only the sections a checker reads, each delta chain replayed
+once into a memo on the payload) plus the metadata the invariant
+checkers need (epoch, dirty bit at snapshot time, ground-truth
+corruption, the per-section byte breakdown).  Lines can be built from
+stable storage (the hardware recovery line), from volatile storage (the
+MDCD recovery anchors), or from the live process states (for end-of-run
+oracles).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..checkpoint import Checkpoint
 from ..host import FtProcess, ProcessSnapshot
+from ..snapshot import SnapshotView, decode_payload
 from ..types import ProcessId
 
 
 @dataclasses.dataclass
 class ProcessView:
-    """One process's state as reflected by one snapshot."""
+    """One process's state as reflected by one snapshot.
+
+    ``snapshot`` is read-only: a lazily decoded
+    :class:`~repro.snapshot.SnapshotView` for checkpoint views (whose
+    decoded sections are shared with other views of the same payload
+    chain), or the live objects themselves for live views.  Checkers
+    only inspect it.
+    """
 
     process_id: ProcessId
-    snapshot: ProcessSnapshot
+    snapshot: Union[ProcessSnapshot, SnapshotView]
     taken_at: float
     work_done: float
     epoch: Optional[int] = None
@@ -52,39 +61,17 @@ class ProcessView:
         return self.snapshot.app_state.corrupt
 
 
-#: Optional view memo, installed by flock group execution: checkpoints
-#: shared across a group's forks (the whole pre-fork prefix) decode to
-#: a view once instead of once per fork.  Entries pin the checkpoint
-#: with a strong reference so an ``id`` can never be reused while it is
-#: a key.  Views are read-only by contract (checkers only inspect
-#: them), which is what makes returning a shared instance sound.
-_VIEW_CACHE: Optional[Dict[int, tuple]] = None
-
-#: In-flock bound on memoized views (suffix checkpoints enter the cache
-#: too; they just never hit again, so the cache is periodically swept).
-_VIEW_CACHE_MAX = 4096
-
-
-def install_view_cache(cache: Optional[Dict[int, tuple]]) -> None:
-    """Install (or, with ``None``, remove) the process-wide view memo.
-
-    Only flock group execution installs one — for exactly the span of
-    one group, whose forks share their prefix checkpoints."""
-    global _VIEW_CACHE
-    _VIEW_CACHE = cache
-
-
 def view_from_checkpoint(checkpoint: Checkpoint) -> ProcessView:
-    """Decode a checkpoint into a view (codec-registry lookup plus
-    delta-chain replay happen inside ``restore_state``)."""
-    cache = _VIEW_CACHE
-    if cache is not None:
-        entry = cache.get(id(checkpoint))
-        if entry is not None and entry[0] is checkpoint:
-            return entry[1]
-    view = ProcessView(
+    """A read-only view of a checkpoint.  Sectioned payloads are not
+    decoded here: the view's :class:`~repro.snapshot.SnapshotView`
+    decodes each section on first access (see
+    :func:`~repro.snapshot.read_section`); protocol restores keep their
+    private decode in ``Checkpoint.restore_state``."""
+    payload = checkpoint.payload
+    return ProcessView(
         process_id=checkpoint.process_id,
-        snapshot=checkpoint.restore_state(),
+        snapshot=(decode_payload(payload) if payload.opaque
+                  else SnapshotView(payload)),
         taken_at=checkpoint.taken_at,
         work_done=checkpoint.work_done,
         epoch=checkpoint.epoch,
@@ -93,11 +80,6 @@ def view_from_checkpoint(checkpoint: Checkpoint) -> ProcessView:
                  if checkpoint.content is not None else None),
         meta=dict(checkpoint.meta),
         section_bytes=checkpoint.section_sizes())
-    if cache is not None:
-        if len(cache) >= _VIEW_CACHE_MAX:
-            cache.clear()
-        cache[id(checkpoint)] = (checkpoint, view)
-    return view
 
 
 def live_view(process: FtProcess) -> ProcessView:

@@ -10,16 +10,14 @@ cheap forks while the template advances monotonically along the
 reference timeline.  Groups run largest-first, so a worker keeps one
 template resident at a time and the biggest amortization happens first.
 
-Within a group, three things are recycled across forks on top of the
-shared-object table itself:
-
-* the **view memo** (:func:`~repro.analysis.global_state
-  .install_view_cache`) — prefix checkpoints decode to auditor views
-  once per group instead of once per fork;
-* the **chain-resolution memo** (:func:`~repro.snapshot.sections
-  .install_resolve_cache`) — prefix delta chains replay once;
-* one **event pool** — each fork's kernel acquires from the previous
-  fork's free list, keeping the hot event objects resident.
+On top of the shared-object table itself, only one thing is recycled
+across forks: the **event pool** — each fork's kernel acquires from the
+previous fork's free list, keeping the hot event objects resident.
+Decoded auditor state has no runner-side memo.  Prefix checkpoints are
+shared objects, and each delta chain carries one decode memo
+(:func:`~repro.snapshot.read_section`) that moves to the payload read
+last: forks share a prefix memo only until one of them reads its first
+suffix link, after which later readers replay the prefix chain again.
 
 Everything observable is bit-for-bit identical to the warm and cold
 paths: findings, error strings, shrink results, trace digests.  The
@@ -32,6 +30,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import AuditViolation
+from ..sim.events import EventPool
 from ..warmstart.engine import MIN_GROUP, divergence_time
 from ..warmstart.store import ImageStore, PrefixKey
 from .template import FORK_EPS, FORK_QUANTUM, ForkTemplate, fork_position
@@ -62,11 +61,7 @@ class FlockRunner:
         self.build_missing = build_missing
         self._templates: Dict[str, ForkTemplate] = {}
         self._group_counts: Dict[str, int] = {}
-        # Runner-lifetime memo dicts: entries pin their keys, so they
-        # stay valid across groups; shrink replays profit most.
-        self._view_cache: Dict = {}
-        self._resolve_cache: Dict = {}
-        self._pool = None
+        self._pool = EventPool()
         self.flock_runs = 0
         self.cold_runs = 0
         self.templates_built = 0
@@ -172,45 +167,23 @@ class FlockRunner:
             # override leave the prefix group anyway.  Let the shrink
             # replay cold.
             return
-        self._install_caches()
-        try:
-            template = self._template_for(schedule, force=True)
-            if template is None:
-                return
-            positions = sorted({fork_position(t, self.config.horizon)
-                                for t in times})
-            for position in positions:
-                if (position < FORK_QUANTUM
-                        or position < template.start_position
-                        or position < template.position):
-                    continue
-                if not template.advance_to(position):
-                    break
-                template.dump()
-        finally:
-            self._remove_caches()
+        template = self._template_for(schedule, force=True)
+        if template is None:
+            return
+        positions = sorted({fork_position(t, self.config.horizon)
+                            for t in times})
+        for position in positions:
+            if (position < FORK_QUANTUM
+                    or position < template.start_position
+                    or position < template.position):
+                continue
+            if not template.advance_to(position):
+                break
+            template.dump()
 
     def release(self) -> None:
         """Drop resident templates (end of campaign / shrink phase)."""
         self._templates.clear()
-
-    # ------------------------------------------------------------------
-    # cache scope
-    # ------------------------------------------------------------------
-    def _install_caches(self) -> None:
-        from ..analysis.global_state import install_view_cache
-        from ..snapshot.sections import install_resolve_cache
-        install_view_cache(self._view_cache)
-        install_resolve_cache(self._resolve_cache)
-        if self._pool is None:
-            from ..sim.events import EventPool
-            self._pool = EventPool()
-
-    def _remove_caches(self) -> None:
-        from ..analysis.global_state import install_view_cache
-        from ..snapshot.sections import install_resolve_cache
-        install_view_cache(None)
-        install_resolve_cache(None)
 
     # ------------------------------------------------------------------
     # execution
@@ -246,28 +219,17 @@ class FlockRunner:
                      force_template: bool = False):
         """Audit one schedule, returning ``(findings, system)`` — the
         system with its full trace (prefix records travel in the fork),
-        for the bench's digest cross-checks.
-
-        The group-scoped caches are installed only around template
-        advancement and forked execution, where prefix objects are
-        genuinely shared; a cold fallback runs bare (caching a run's
-        private payloads costs an extra encode per miss and can never
-        hit).
-        """
+        for the bench's digest cross-checks."""
         from ..audit.auditor import OnlineAuditor
         from ..audit.campaign import build_audit_system
         template = self._template_for(schedule, force=force_template)
         if template is not None:
-            self._install_caches()
-            try:
-                forked = self._fork_for(template, schedule)
-                if forked is not None:
-                    self.flock_runs += 1
-                    system, auditor = forked
-                    auditor.fail_fast = fail_fast
-                    return self._execute(system, auditor)
-            finally:
-                self._remove_caches()
+            forked = self._fork_for(template, schedule)
+            if forked is not None:
+                self.flock_runs += 1
+                system, auditor = forked
+                auditor.fail_fast = fail_fast
+                return self._execute(system, auditor)
         self.cold_runs += 1
         system = build_audit_system(self.config, schedule)
         auditor = OnlineAuditor(
@@ -351,8 +313,7 @@ class FlockRunner:
             "advance_seconds": round(advance, 6),
             "dump_encode_seconds": round(encode, 6),
         })
-        if self._pool is not None:
-            stats["pool_reused"] = self._pool.reused
+        stats["pool_reused"] = self._pool.reused
         if self.store is not None:
             stats.update(self.store.stats())
         return stats

@@ -16,7 +16,8 @@ through this package instead of a hard-wired ``pickle.dumps``:
   of steady-state captures encode as *deltas* against the previous
   capture of the same process, cutting volatile-checkpoint cost from
   O(journal) to O(new entries); restores replay the delta chain back to
-  the nearest full section.
+  the nearest full section, while the auditor's read-only
+  :class:`SnapshotView` decodes sections lazily off a per-chain memo.
 
 Codec choice and incremental capture are pure representation concerns:
 they never touch the simulator's RNG streams or event ordering, so the
@@ -39,10 +40,12 @@ from .sections import (
     SectionPayload,
     SnapshotEncoder,
     SnapshotPayload,
+    SnapshotView,
     declared_section,
     decode_payload,
     encode_full,
     encode_value,
+    read_section,
 )
 
 __all__ = [
@@ -57,8 +60,10 @@ __all__ = [
     "SectionPayload",
     "SnapshotPayload",
     "SnapshotEncoder",
+    "SnapshotView",
     "declared_section",
     "decode_payload",
     "encode_full",
     "encode_value",
+    "read_section",
 ]

@@ -134,18 +134,27 @@ def journal_delta(journal: Journal, base: JournalBaseline) -> JournalDelta:
 
 
 def apply_journal_delta(journal: Journal, delta: JournalDelta) -> Journal:
-    """Replay a delta onto a (freshly decoded, private) base journal."""
+    """Replay a delta onto a base journal, returning a new journal.
+
+    The base and its records are left untouched (the records dict is
+    copied and a revalidated record is replaced by a validated copy),
+    so a decoded value shared by auditor views can seed the next chain
+    link, and a restore built from freshly decoded records stays
+    private."""
+    records = dict(journal._records)
     for key in delta.removed:
-        journal._records.pop(key, None)
+        records.pop(key, None)
     for rec in delta.added:
         # A re-added key moves to the end of the insertion order,
         # matching dict semantics in the live journal.
-        journal._records.pop(rec.key, None)
-        journal._records[rec.key] = rec
+        records.pop(rec.key, None)
+        records[rec.key] = rec
     for key in delta.revalidated:
-        journal._records[key].validated = True
-    journal.pruned_before = delta.pruned_before
-    return journal
+        records[key] = dataclasses.replace(records[key], validated=True)
+    out = Journal()
+    out._records = records
+    out.pruned_before = delta.pruned_before
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -227,11 +236,11 @@ def log_delta(log: MessageLog, base: LogBaseline) -> Optional[LogDelta]:
 
 
 def apply_log_delta(log: MessageLog, delta: LogDelta) -> MessageLog:
-    """Replay a delta onto a (freshly decoded, private) base log."""
-    if delta.min_keep_sn is None:
-        log._entries = []
-    else:
-        log._entries = [e for e in log._entries if e.sn >= delta.min_keep_sn]
-    log._entries.extend(delta.appended)
-    log.reclaimed_count = delta.reclaimed_count
-    return log
+    """Replay a delta onto a base log, returning a new log; the base is
+    left untouched (entries are never mutated, so they are shared)."""
+    out = MessageLog()
+    if delta.min_keep_sn is not None:
+        out._entries = [e for e in log._entries if e.sn >= delta.min_keep_sn]
+    out._entries.extend(delta.appended)
+    out.reclaimed_count = delta.reclaimed_count
+    return out

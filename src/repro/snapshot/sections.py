@@ -32,15 +32,26 @@ deltas against the previous capture (see :mod:`~repro.snapshot.delta`),
 emitting a full section on first capture, after a restore, when the
 delta language cannot express the change, or every ``max_chain``
 captures (bounding restore replay length and the retained chain).
+
+Two decode paths read a payload back, through one copy-on-apply chain
+replay.  :func:`decode_payload` (behind ``Checkpoint.restore_state``)
+builds a private, mutable ``ProcessSnapshot`` by full chain replay —
+what a protocol restore needs.  :class:`SnapshotView` is the auditor's
+read-only path: it decodes a section on first access, and
+:func:`read_section` memoizes a delta-capable section's value on its
+:class:`SectionPayload`, one decoded value per chain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from typing import Any, Dict, Optional, Tuple, Union
 
 from .codec import Codec, get_codec
 from .delta import (
+    DELTA_SECTIONS,
     JournalBaseline,
     JournalDelta,
     LogBaseline,
@@ -82,6 +93,17 @@ class SectionPayload:
     full: bool = True
     base: Optional["SectionPayload"] = None
     depth: int = 0
+
+    #: Decoded value shared by read-only readers (:func:`read_section`);
+    #: a cache on the instance, never a field, never pickled.
+    _memo = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        """The fields without the memo, so checkpoint, image and fork
+        dump bytes never depend on what an auditor has read."""
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,66 +211,41 @@ def _is_sectioned(state: Any) -> bool:
                for f in dataclasses.fields(state))
 
 
-#: Optional chain-resolution memo, installed by flock group execution.
-#: Maps ``id(payload)`` of an already-resolved *delta* payload to the
-#: payload (pinned, so the id stays valid) plus its re-encoded **full**
-#: bytes.  A memoized resolve costs one codec decode instead of a
-#: replay of up to ``max_chain`` layers — and because the cache stores
-#: bytes, every caller still receives a fresh private value, so the
-#: mutating consumers (delta application, process restores) stay safe.
-_RESOLVE_CACHE: Optional[Dict[int, tuple]] = None
+def _replay_chain(payload: SectionPayload, from_memo: bool) -> Dict[str, Any]:
+    """Decode one section, replaying its delta chain onto the nearest
+    full base.  Links apply copy-on-write (see
+    :func:`~repro.snapshot.delta.apply_journal_delta`), so the base
+    value is never changed.
 
-_RESOLVE_CACHE_MAX = 2048
-
-
-def install_resolve_cache(cache: Optional[Dict[int, tuple]]) -> None:
-    """Install (or, with ``None``, remove) the chain-resolution memo.
-    Flock group execution scopes one to each group, whose forks share —
-    and repeatedly decode — their prefix's payload chains."""
-    global _RESOLVE_CACHE
-    _RESOLVE_CACHE = cache
-
-
-def _resolve_section(payload: SectionPayload) -> Dict[str, Any]:
-    """Decode one section, replaying its delta chain if present."""
-    if payload.full:
-        return get_codec(payload.codec_id).decode(payload.data)
-    cache = _RESOLVE_CACHE
-    if cache is not None:
-        entry = cache.get(id(payload))
-        if entry is not None and entry[0] is payload:
-            return get_codec(entry[2]).decode(entry[1])
+    With ``from_memo`` the replay starts instead at the nearest
+    ancestor holding a memo (:func:`read_section`) and takes that memo
+    over; without it (the protocol-restore path) every record is
+    freshly decoded, so the result is private and mutable.
+    """
     chain = []
-    node: Optional[SectionPayload] = payload
-    while node is not None and not node.full:
+    node = payload
+    while not node.full and not (from_memo and node._memo is not None):
         chain.append(node)
         node = node.base
-    if node is None:
-        raise ValueError(f"delta chain of section {payload.section!r} has "
-                         "no full base payload")
-    value = get_codec(node.codec_id).decode(node.data)
-    for delta_payload in reversed(chain):
-        delta_value = get_codec(delta_payload.codec_id).decode(
-            delta_payload.data)
-        value = _apply_section_delta(delta_payload.section, value, delta_value)
-    if cache is not None:
-        if len(cache) >= _RESOLVE_CACHE_MAX:
-            cache.clear()
-        codec = get_codec(payload.codec_id)
-        data, _nbytes = encode_value(value, codec)
-        cache[id(payload)] = (payload, data, codec.codec_id)
-        # ``value`` stays private (the cache holds independent bytes),
-        # so handing it to the mutating caller is still sound.
+        if node is None:
+            raise ValueError(f"delta chain of section {payload.section!r} "
+                             "has no full base payload")
+    value = node._memo if from_memo else None
+    if value is None:
+        value = get_codec(node.codec_id).decode(node.data)
+    elif chain:
+        object.__setattr__(node, "_memo", None)
+    for link in reversed(chain):
+        value = _apply_section_delta(
+            link.section, value, get_codec(link.codec_id).decode(link.data))
     return value
 
 
 def _apply_section_delta(section: str, base_value: Dict[str, Any],
                          delta_value: Dict[str, Any]) -> Dict[str, Any]:
-    """Replay one decoded delta onto a (private) decoded base value.
-
-    Deltas travel in their packed (plain-tuple) wire form, so dispatch
-    is by section name, not payload type.
-    """
+    """Replay one decoded delta onto a decoded base value, leaving the
+    base untouched.  Deltas travel in their packed (plain-tuple) wire
+    form, so dispatch is by section name, not payload type."""
     out = dict(base_value)
     for field, packed in delta_value.items():
         if section == "journals":
@@ -259,6 +256,26 @@ def _apply_section_delta(section: str, base_value: Dict[str, Any],
         else:  # a field the delta encoder chose to ship whole
             out[field] = packed
     return out
+
+
+def read_section(payload: SectionPayload) -> Dict[str, Any]:
+    """The decoded value of one section for read-only use.
+
+    Sections outside :data:`DELTA_SECTIONS` decode afresh.  A
+    delta-chained section resolves from its nearest ancestor that
+    already holds a decoded value (or from the full base), then takes
+    over that ancestor's memo: each chain keeps at most one decoded
+    value alive, on the payload read last, and reading payloads in
+    capture order replays every link once.  The value is shared with
+    every later reader of ``payload`` and must not be mutated —
+    :func:`decode_payload` is the private, mutable path.
+    """
+    if payload.section not in DELTA_SECTIONS:
+        return get_codec(payload.codec_id).decode(payload.data)
+    if payload._memo is None:
+        object.__setattr__(payload, "_memo",
+                           _replay_chain(payload, from_memo=True))
+    return payload._memo
 
 
 def decode_payload(payload: SnapshotPayload) -> Any:
@@ -273,9 +290,56 @@ def decode_payload(payload: SnapshotPayload) -> Any:
             payload.sections[0].data)
     fields: Dict[str, Any] = {}
     for section_payload in payload.sections:
-        fields.update(_resolve_section(section_payload))
+        fields.update(_replay_chain(section_payload, from_memo=False))
     from ..host import ProcessSnapshot  # deferred: host imports this package
     return ProcessSnapshot(**fields)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_sections() -> Dict[str, str]:
+    """Each ``ProcessSnapshot`` field mapped to the section its declared
+    type encodes under — where a view looks first."""
+    from ..host import ProcessSnapshot  # deferred: host imports this package
+    return {name: getattr(hint, "snapshot_section", None) or "counters"
+            for name, hint in typing.get_type_hints(ProcessSnapshot).items()}
+
+
+class SnapshotView:
+    """A read-only ``ProcessSnapshot`` stand-in that decodes lazily.
+
+    The first read of a field decodes the section holding it and binds
+    all of that section's fields on the view, so later reads are plain
+    attribute hits and sections nobody reads (the invariant checkers
+    never read ``msg_log``) are never decoded.  ``journals`` and
+    ``msg_log`` come from the payload's shared memo
+    (:func:`read_section`); ``app``, ``mdcd`` and ``counters`` decode
+    once per view.  Nothing read through a view may be mutated;
+    :meth:`~repro.checkpoint.Checkpoint.restore_state` is the private,
+    mutable copy.
+    """
+
+    def __init__(self, payload: SnapshotPayload) -> None:
+        object.__setattr__(self, "_pending",
+                           {p.section: p for p in payload.sections})
+
+    def __getattr__(self, name: str) -> Any:
+        pending = self.__dict__.get("_pending")
+        if not pending or name.startswith("_"):
+            raise AttributeError(name)
+        section = _field_sections().get(name, "counters")
+        if section not in pending:
+            section = next(iter(pending))
+        while True:
+            fields = read_section(pending.pop(section))
+            self.__dict__.update(fields)
+            if name in fields:
+                return fields[name]
+            if not pending:
+                raise AttributeError(name)
+            section = next(iter(pending))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"snapshot views are read-only ({name!r})")
 
 
 class SnapshotEncoder:

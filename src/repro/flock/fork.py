@@ -182,6 +182,10 @@ def collect_shared(context: ForkContext, system, auditor=None,
     * encoder chain tips — ``SectionPayload`` is frozen; suffix
       captures extend the chain with private payloads whose ``base``
       points at these shared ones.
+    * encoder delta baselines — replaced wholesale at every capture;
+      they reference records, and a fork's first capture diffs its
+      private unvalidated records against them field by field (see
+      :mod:`~repro.snapshot.delta`).
     * the network's ``BatchedUniform`` prefetch block — refills replace
       ``_buf`` wholesale (never in place), so the block at fork time is
       final; each fork consumes it through a private index.
@@ -216,9 +220,17 @@ def collect_shared(context: ForkContext, system, auditor=None,
             while node is not None:
                 context.share(node)
                 node = node.base
-        # Delta baselines are snapshots built at capture time and only
+        # Delta baselines are tuples built at capture time and only
         # ever *replaced*; the mapping dicts stay private (reset clears
-        # them in place).
+        # them in place).  A journal baseline's records dict is a copy
+        # that nothing mutates, and its unvalidated-key set is frozen.
+        # It references the template's records, some of them
+        # unvalidated and so still mutable, but the diff never reads a
+        # baseline record's ``validated`` flag: a fork's unvalidated
+        # records are private copies (below), never the baseline's
+        # objects, so its first capture compares them field by field
+        # (every field but ``validated``, all written once).  Log
+        # baselines hold entries, which are never mutated.
         context.share_all(encoder._journal_baselines.values())
         context.share_all(encoder._log_baselines.values())
         # Validated journal records are frozen: ``validated`` is the

@@ -515,10 +515,17 @@ class FtProcess(SimProcess):
     # checkpoint capture / restore
     # ------------------------------------------------------------------
     def make_snapshot(self) -> ProcessSnapshot:
-        """Assemble the checkpointable state (not yet pickled)."""
+        """Assemble the checkpointable state (not yet encoded).
+
+        The snapshot references the live state objects: encoding isolates
+        a checkpoint by itself (a codec's decode is an independent deep
+        copy), and :func:`~repro.analysis.global_state.live_view` only
+        reads.  The dedup set stays a copy: a set's iteration order
+        depends on its table's history, so pickling the live set could
+        order its elements differently and change checkpoint bytes."""
         return ProcessSnapshot(
-            app_state=self.component.snapshot(),
-            mdcd=self.mdcd.copy(),
+            app_state=self.component.state,
+            mdcd=self.mdcd,
             sn_value=self.sn.current,
             dedup_seen=self.dedup.snapshot(),
             unacked=self.acks.unacknowledged(),
@@ -526,7 +533,7 @@ class FtProcess(SimProcess):
             journal_recv=self.journal_recv,
             msg_log=self.msg_log,
             cursor=self.driver.cursor,
-            dsn_counters=dict(self._dsn_counters),
+            dsn_counters=self._dsn_counters,
         )
 
     def capture_checkpoint(self, kind: CheckpointKind,

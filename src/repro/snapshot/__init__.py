@@ -41,7 +41,6 @@ from .sections import (
     SnapshotEncoder,
     SnapshotPayload,
     SnapshotView,
-    declared_section,
     decode_payload,
     encode_full,
     encode_value,
@@ -61,7 +60,6 @@ __all__ = [
     "SnapshotPayload",
     "SnapshotEncoder",
     "SnapshotView",
-    "declared_section",
     "decode_payload",
     "encode_full",
     "encode_value",

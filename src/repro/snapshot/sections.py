@@ -17,14 +17,17 @@ counters  everything else (sequence counter, dedup set, unacked
           messages, workload cursor, per-destination counters)
 ========= ==========================================================
 
-Membership is *declared by the state objects themselves* (a
+Membership is *declared by the state types themselves* (a
 ``snapshot_section`` class attribute — see :class:`~repro.app
 .component.AppState`, :class:`~repro.mdcd.state.MdcdState`,
 :class:`~repro.journal.Journal`, :class:`~repro.messages.log
-.MessageLog`); snapshot fields without a declaration land in
-``counters``.  Each section value is the ``{field name: value}`` dict,
-so decoding reassembles a snapshot by merging sections — new snapshot
-fields need no pipeline change.
+.MessageLog`); snapshot fields whose annotated type declares none land
+in ``counters``.  :func:`section_plan` reads the declarations off
+``ProcessSnapshot``'s annotations once, and the encoder and
+:class:`SnapshotView` share that table.  Each section value is the
+``{field name: value}`` dict, so decoding reassembles a snapshot by
+merging sections — new snapshot fields need no pipeline change.  Any
+other state encodes as one opaque section.
 
 :class:`SnapshotEncoder` (one per process) additionally encodes the
 ``journals`` and ``msg_log`` sections of steady-state captures as
@@ -46,19 +49,20 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import types
 import typing
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 from .codec import Codec, get_codec
 from .delta import (
     DELTA_SECTIONS,
-    JournalBaseline,
-    JournalDelta,
-    LogBaseline,
-    LogDelta,
+    JournalBase,
+    LogBase,
     apply_journal_delta,
     apply_log_delta,
+    journal_base,
     journal_delta,
+    log_base,
     log_delta,
 )
 
@@ -70,9 +74,37 @@ SECTION_ORDER = ("app", "mdcd", "journals", "msg_log", "counters")
 OPAQUE_SECTION = "state"
 
 
-def declared_section(value: Any) -> Optional[str]:
-    """The section a state object declares membership of, if any."""
-    return getattr(type(value), "snapshot_section", None)
+class SectionPlan(NamedTuple):
+    """Where each ``ProcessSnapshot`` field is encoded, computed once
+    from the fields' declared types (a ``snapshot_section`` class
+    attribute; undeclared fields go to ``counters``)."""
+
+    #: The snapshot class the plan describes.
+    cls: type
+    #: ``(section, field names)`` in :data:`SECTION_ORDER`, fields in
+    #: declaration order, empty sections left out.
+    sections: Tuple[Tuple[str, Tuple[str, ...]], ...]
+    #: Each field's section (read-only).
+    section_of: Mapping[str, str]
+
+
+@functools.lru_cache(maxsize=None)
+def section_plan() -> SectionPlan:
+    """The one field -> section table, shared by the encoder and
+    :class:`SnapshotView`."""
+    from ..host import ProcessSnapshot  # deferred: host imports this package
+    hints = typing.get_type_hints(ProcessSnapshot)
+    section_of = {}
+    for field in dataclasses.fields(ProcessSnapshot):
+        declared = getattr(hints[field.name], "snapshot_section", None)
+        section_of[field.name] = (declared if declared in SECTION_ORDER
+                                  else "counters")
+    sections = tuple(
+        (name, tuple(f for f, s in section_of.items() if s == name))
+        for name in SECTION_ORDER)
+    return SectionPlan(cls=ProcessSnapshot,
+                       sections=tuple(p for p in sections if p[1]),
+                       section_of=types.MappingProxyType(section_of))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,48 +199,24 @@ def encode_value(value: Any, codec: Codec) -> Tuple[Any, int]:
     return data, codec.measure(value, data)
 
 
-def split_sections(snapshot: Any) -> Dict[str, Dict[str, Any]]:
-    """Group a dataclass snapshot's fields by declared section."""
-    sections: Dict[str, Dict[str, Any]] = {name: {} for name in SECTION_ORDER}
-    for field in dataclasses.fields(snapshot):
-        value = getattr(snapshot, field.name)
-        section = declared_section(value)
-        if section not in sections:
-            section = "counters"
-        sections[section][field.name] = value
-    return {name: fields for name, fields in sections.items() if fields}
+def split_sections(snapshot: Any) -> Optional[Dict[str, Dict[str, Any]]]:
+    """A ``ProcessSnapshot``'s fields grouped by section
+    (:func:`section_plan`), or ``None`` for any other state — those
+    encode as one opaque section."""
+    plan = section_plan()
+    if type(snapshot) is not plan.cls:
+        return None
+    values = snapshot.__dict__
+    return {name: {field: values[field] for field in fields}
+            for name, fields in plan.sections}
 
 
 def encode_full(state: Any, codec: Union[str, Codec, None] = None
                 ) -> SnapshotPayload:
-    """One-shot full encoding (no incremental state).
-
-    ``ProcessSnapshot``-like dataclasses with declared sections are
-    sectioned; anything else becomes a single opaque section — the path
-    arbitrary test states and rewritten snapshots take.
-    """
-    chosen = get_codec(codec)
-    if _is_sectioned(state):
-        payloads = []
-        for name, fields in split_sections(state).items():
-            data, nbytes = encode_value(fields, chosen)
-            payloads.append(SectionPayload(section=name,
-                                           codec_id=chosen.codec_id,
-                                           data=data, nbytes=nbytes))
-        return SnapshotPayload(sections=tuple(payloads))
-    data, nbytes = encode_value(state, chosen)
-    return SnapshotPayload(sections=(SectionPayload(
-        section=OPAQUE_SECTION, codec_id=chosen.codec_id,
-        data=data, nbytes=nbytes),))
-
-
-def _is_sectioned(state: Any) -> bool:
-    """Whether ``state`` is a dataclass with section-declaring fields
-    (in practice: a :class:`~repro.host.ProcessSnapshot`)."""
-    if not (dataclasses.is_dataclass(state) and not isinstance(state, type)):
-        return False
-    return any(declared_section(getattr(state, f.name)) is not None
-               for f in dataclasses.fields(state))
+    """One-shot full encoding (no incremental state): a
+    ``ProcessSnapshot`` is sectioned; anything else becomes a single
+    opaque section — the path arbitrary test states take."""
+    return SnapshotEncoder(incremental=False).encode_snapshot(state, codec)
 
 
 def _replay_chain(payload: SectionPayload, from_memo: bool) -> Dict[str, Any]:
@@ -249,10 +257,9 @@ def _apply_section_delta(section: str, base_value: Dict[str, Any],
     out = dict(base_value)
     for field, packed in delta_value.items():
         if section == "journals":
-            out[field] = apply_journal_delta(out[field],
-                                             JournalDelta.unpack(packed))
+            out[field] = apply_journal_delta(out[field], packed)
         elif section == "msg_log":
-            out[field] = apply_log_delta(out[field], LogDelta.unpack(packed))
+            out[field] = apply_log_delta(out[field], packed)
         else:  # a field the delta encoder chose to ship whole
             out[field] = packed
     return out
@@ -295,15 +302,6 @@ def decode_payload(payload: SnapshotPayload) -> Any:
     return ProcessSnapshot(**fields)
 
 
-@functools.lru_cache(maxsize=None)
-def _field_sections() -> Dict[str, str]:
-    """Each ``ProcessSnapshot`` field mapped to the section its declared
-    type encodes under — where a view looks first."""
-    from ..host import ProcessSnapshot  # deferred: host imports this package
-    return {name: getattr(hint, "snapshot_section", None) or "counters"
-            for name, hint in typing.get_type_hints(ProcessSnapshot).items()}
-
-
 class SnapshotView:
     """A read-only ``ProcessSnapshot`` stand-in that decodes lazily.
 
@@ -324,19 +322,13 @@ class SnapshotView:
 
     def __getattr__(self, name: str) -> Any:
         pending = self.__dict__.get("_pending")
-        if not pending or name.startswith("_"):
+        section = section_plan().section_of.get(name)
+        payload = pending.pop(section, None) if pending else None
+        if payload is None:
             raise AttributeError(name)
-        section = _field_sections().get(name, "counters")
-        if section not in pending:
-            section = next(iter(pending))
-        while True:
-            fields = read_section(pending.pop(section))
-            self.__dict__.update(fields)
-            if name in fields:
-                return fields[name]
-            if not pending:
-                raise AttributeError(name)
-            section = next(iter(pending))
+        fields = read_section(payload)
+        self.__dict__.update(fields)
+        return fields[name]
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"snapshot views are read-only ({name!r})")
@@ -347,9 +339,10 @@ class SnapshotEncoder:
 
     One encoder serves all of a process's captures (volatile and
     stable, any codec): it remembers, per delta-capable section, the
-    previously emitted payload (the chain tip) and a lightweight
-    baseline of the live state it encoded, and emits deltas while the
-    chain stays representable and shorter than ``max_chain``.
+    previously emitted payload (the chain tip) and a baseline of the
+    live state it encoded (that capture's own records and log entries,
+    see :mod:`~repro.snapshot.delta`), and emits deltas while the chain
+    stays representable and shorter than ``max_chain``.
 
     Determinism: the encoder reads the live state and writes only its
     own bookkeeping — capture can never perturb the simulation, so
@@ -362,8 +355,8 @@ class SnapshotEncoder:
             raise ValueError("max_chain must be at least 1")
         self.max_chain = max_chain
         self._tips: Dict[str, SectionPayload] = {}
-        self._journal_baselines: Dict[str, JournalBaseline] = {}
-        self._log_baselines: Dict[str, LogBaseline] = {}
+        self._journal_baselines: Dict[str, JournalBase] = {}
+        self._log_baselines: Dict[str, LogBase] = {}
         #: Capture statistics per section: counts of full and delta
         #: encodes (the ``snapshot-stats`` CLI reads these).
         self.full_encodes: Dict[str, int] = {}
@@ -383,58 +376,64 @@ class SnapshotEncoder:
     def encode_snapshot(self, snapshot: Any,
                         codec: Union[str, Codec, None] = None
                         ) -> SnapshotPayload:
-        """Encode one capture, emitting delta sections where possible."""
+        """Encode one capture, emitting delta sections where possible.
+
+        The live objects are encoded as they are — the codec's decode
+        is an independent copy (see :mod:`~repro.snapshot.codec`), so
+        the capture needs no copy of its own."""
         chosen = get_codec(codec)
-        if not _is_sectioned(snapshot):
-            return encode_full(snapshot, chosen)
+        sections = split_sections(snapshot)
+        if sections is None:
+            return SnapshotPayload(
+                sections=(self._payload(OPAQUE_SECTION, snapshot, chosen),))
         payloads = []
-        for name, fields in split_sections(snapshot).items():
+        for name, fields in sections.items():
             if self.incremental and name == "journals":
                 payloads.append(self._encode_journals(fields, chosen))
             elif self.incremental and name == "msg_log":
                 payloads.append(self._encode_log(fields, chosen))
             else:
-                data, nbytes = encode_value(fields, chosen)
-                payloads.append(SectionPayload(
-                    section=name, codec_id=chosen.codec_id,
-                    data=data, nbytes=nbytes))
-                self._bump(self.full_encodes, name)
+                payloads.append(self._payload(name, fields, chosen))
         return SnapshotPayload(sections=tuple(payloads))
 
     # ------------------------------------------------------------------
     def _encode_journals(self, fields: Dict[str, Any],
                          codec: Codec) -> SectionPayload:
         tip = self._usable_tip("journals")
-        if tip is not None and set(self._journal_baselines) == set(fields):
-            delta_value = {
-                name: journal_delta(journal,
-                                    self._journal_baselines[name]).pack()
-                for name, journal in fields.items()}
-            payload = self._delta_payload("journals", delta_value, codec, tip)
+        bases = self._journal_baselines
+        if tip is not None and bases.keys() == fields.keys():
+            delta_value = {}
+            next_bases = {}
+            for name, journal in fields.items():
+                delta_value[name], next_bases[name] = journal_delta(
+                    journal, bases[name])
+            payload = self._payload("journals", delta_value, codec, tip)
         else:
-            payload = self._full_payload("journals", fields, codec)
-        self._journal_baselines = {name: JournalBaseline.of(journal)
-                                   for name, journal in fields.items()}
+            payload = self._payload("journals", fields, codec)
+            next_bases = {name: journal_base(journal)
+                          for name, journal in fields.items()}
+        self._journal_baselines = next_bases
         self._tips["journals"] = payload
         return payload
 
     def _encode_log(self, fields: Dict[str, Any],
                     codec: Codec) -> SectionPayload:
         tip = self._usable_tip("msg_log")
+        bases = self._log_baselines
         delta_value: Optional[Dict[str, Any]] = None
-        if tip is not None and set(self._log_baselines) == set(fields):
+        if tip is not None and bases.keys() == fields.keys():
             delta_value = {}
             for name, log in fields.items():
-                delta = log_delta(log, self._log_baselines[name])
+                delta = log_delta(log, bases[name])
                 if delta is None:  # inexpressible (sn restart) -> full
                     delta_value = None
                     break
-                delta_value[name] = delta.pack()
+                delta_value[name] = delta
         if delta_value is not None:
-            payload = self._delta_payload("msg_log", delta_value, codec, tip)
+            payload = self._payload("msg_log", delta_value, codec, tip)
         else:
-            payload = self._full_payload("msg_log", fields, codec)
-        self._log_baselines = {name: LogBaseline.of(log)
+            payload = self._payload("msg_log", fields, codec)
+        self._log_baselines = {name: log_base(log)
                                for name, log in fields.items()}
         self._tips["msg_log"] = payload
         return payload
@@ -447,21 +446,14 @@ class SnapshotEncoder:
             return None
         return tip
 
-    def _full_payload(self, section: str, value: Any,
-                      codec: Codec) -> SectionPayload:
+    def _payload(self, section: str, value: Any, codec: Codec,
+                 tip: Optional[SectionPayload] = None) -> SectionPayload:
+        """Encode one section value: whole, or as a delta chained to
+        ``tip``."""
         data, nbytes = encode_value(value, codec)
-        self._bump(self.full_encodes, section)
+        counter = self.full_encodes if tip is None else self.delta_encodes
+        counter[section] = counter.get(section, 0) + 1
         return SectionPayload(section=section, codec_id=codec.codec_id,
-                              data=data, nbytes=nbytes)
-
-    def _delta_payload(self, section: str, value: Any, codec: Codec,
-                       tip: SectionPayload) -> SectionPayload:
-        data, nbytes = encode_value(value, codec)
-        self._bump(self.delta_encodes, section)
-        return SectionPayload(section=section, codec_id=codec.codec_id,
-                              data=data, nbytes=nbytes, full=False,
-                              base=tip, depth=tip.depth + 1)
-
-    @staticmethod
-    def _bump(counter: Dict[str, int], key: str) -> None:
-        counter[key] = counter.get(key, 0) + 1
+                              data=data, nbytes=nbytes, full=tip is None,
+                              base=tip,
+                              depth=0 if tip is None else tip.depth + 1)

@@ -41,6 +41,13 @@ from .image import SystemImage
 #: Default in-memory budget for cached image sets (bytes of payload).
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 
+#: Format of the image sets this code writes, stamped at the head of
+#: every set file.  An image pickles the whole live system, so a change
+#: to the pickled shape of anything it holds (the snapshot encoder's
+#: delta baselines, say) must bump it: a set with any other stamp, or
+#: none, reads as a miss and is rebuilt instead of failing at resume.
+IMAGE_SET_FORMAT = 2
+
 
 @dataclasses.dataclass(frozen=True)
 class PrefixKey:
@@ -111,14 +118,29 @@ class ImageStore:
             path = self._path(key)
             tmp = path.with_name(path.name + f".tmp{os.getpid()}")
             with open(tmp, "wb") as fh:
+                pickle.dump(IMAGE_SET_FORMAT, fh,
+                            protocol=pickle.HIGHEST_PROTOCOL)
                 pickle.dump({"key": dataclasses.asdict(key),
                              "images": images}, fh,
                             protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
 
+    def _read(self, key: PrefixKey, stamp_only: bool = False):
+        """The images of ``key``'s set file (``True`` for a current set
+        when ``stamp_only``), or ``None`` when the file is missing,
+        unreadable, corrupt, or stamped with another format."""
+        try:
+            with open(self._path(key), "rb") as fh:
+                if pickle.load(fh) != IMAGE_SET_FORMAT:
+                    return None
+                return True if stamp_only else list(pickle.load(fh)["images"])
+        except (OSError, pickle.PickleError, KeyError, EOFError,
+                TypeError):
+            return None
+
     def get(self, key: PrefixKey) -> Optional[List[SystemImage]]:
-        """The image set for ``key``, or ``None`` (unreadable/corrupt
-        disk entries count as absent)."""
+        """The image set for ``key``, or ``None`` (unreadable, corrupt
+        or differently-stamped disk entries count as absent)."""
         digest = key.digest()
         images = self._sets.get(digest)
         if images is not None:
@@ -126,12 +148,7 @@ class ImageStore:
             self.hits += 1
             return images
         if self.root is not None:
-            try:
-                with open(self._path(key), "rb") as fh:
-                    data = pickle.load(fh)
-                images = list(data["images"])
-            except (OSError, pickle.PickleError, KeyError, EOFError):
-                images = None
+            images = self._read(key)
             if images is not None:
                 self._sets[digest] = images
                 self._charge(digest, images)
@@ -141,10 +158,12 @@ class ImageStore:
         return None
 
     def has(self, key: PrefixKey) -> bool:
-        """Whether a set exists (without counting a hit/miss)."""
+        """Whether a current-format set exists (without counting a
+        hit/miss; reads only a disk file's format stamp)."""
         if key.digest() in self._sets:
             return True
-        return self.root is not None and self._path(key).is_file()
+        return (self.root is not None
+                and self._read(key, stamp_only=True) is not None)
 
     @contextlib.contextmanager
     def build_lock(self, key: PrefixKey):

@@ -1,8 +1,12 @@
 """Image-store tests: keys, LRU bounds, disk layer, lookup strictness."""
 
+import dataclasses
+import pickle
+
 from repro.audit.config import AuditConfig
 from repro.audit.schedule import FaultSchedule
-from repro.warmstart import ImageStore, PrefixKey, SystemImage
+from repro.warmstart import ImageStore, PrefixKey, SystemImage, WarmRunner
+from repro.warmstart import store as store_module
 
 CONFIG = AuditConfig(scheme="coordinated", seed=11, schedules=8,
                      horizon=120.0, tb_interval=20.0)
@@ -142,3 +146,41 @@ class TestDiskLayer:
         assert store.clear() >= 2
         assert not list(tmp_path.glob("*.imgset"))
         assert ImageStore(root=tmp_path).get(_key(seed=1)) is None
+
+
+class TestFormatStamp:
+    """Image sets pickle the live system, encoder baselines included, so
+    a set written by code with another image format must be rebuilt,
+    never resumed."""
+
+    def test_set_with_another_format_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "IMAGE_SET_FORMAT",
+                            store_module.IMAGE_SET_FORMAT + 1)
+        ImageStore(root=tmp_path).put(_key(), [_img(10.0)])
+        monkeypatch.undo()
+        reader = ImageStore(root=tmp_path)
+        assert not reader.has(_key())
+        assert reader.get(_key()) is None
+        assert reader.stats()["misses"] == 1
+
+    def test_unstamped_set_is_a_miss(self, tmp_path):
+        ImageStore(root=tmp_path).put(_key(), [_img(10.0)])
+        for path in tmp_path.glob("*.imgset"):   # the unstamped layout
+            path.write_bytes(pickle.dumps(
+                {"key": dataclasses.asdict(_key()), "images": [_img(10.0)]}))
+        reader = ImageStore(root=tmp_path)
+        assert not reader.has(_key())
+        assert reader.get(_key()) is None
+
+    def test_warm_runner_rebuilds_a_stale_set(self, tmp_path, monkeypatch):
+        sched = FaultSchedule(label="stale", system_seed=5, origin="test")
+        monkeypatch.setattr(store_module, "IMAGE_SET_FORMAT", 1)
+        stale = WarmRunner(CONFIG, store=ImageStore(root=tmp_path))
+        assert stale.ensure_images(sched, force=True)
+        monkeypatch.undo()
+        runner = WarmRunner(CONFIG, store=ImageStore(root=tmp_path))
+        assert runner.ensure_images(sched, force=True)
+        assert runner.sets_built == 1
+        images = ImageStore(root=tmp_path).get(PrefixKey.for_schedule(
+            CONFIG, sched))
+        assert images and all(isinstance(i, SystemImage) for i in images)
